@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/async_adapters.hpp"
+#include "algorithms/fedavg.hpp"
 #include "bench_common.hpp"
-#include "core/fedclust_async.hpp"
+#include "core/fedclust.hpp"
 #include "fl/async.hpp"
 #include "nn/models.hpp"
 
@@ -117,11 +117,11 @@ fl::RunResult run_buffered(const std::string& algorithm, fl::Federation& fed,
   ac.staleness_fn = fl::StalenessKind::kPolynomial;
   ac.staleness_exponent = 0.5;
   if (algorithm == "FedClust") {
-    core::FedClustAsync adapter(core::FedClustConfig{.warmup_epochs = 1});
-    return fl::run_async(fed, adapter, ac, flushes);
+    core::FedClust algo(core::FedClustConfig{.warmup_epochs = 1});
+    return fl::run_async(fed, algo, ac, flushes);
   }
-  algorithms::GlobalAverageAdapter adapter;
-  return fl::run_async(fed, adapter, ac, flushes);
+  algorithms::FedAvg algo;
+  return fl::run_async(fed, algo, ac, flushes);
 }
 
 /// Flush budget matching the sync runs' update budget (rounds × fleet),

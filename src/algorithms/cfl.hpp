@@ -17,7 +17,7 @@
 // standard practical approximation.
 #pragma once
 
-#include "fl/algorithm.hpp"
+#include "algorithms/common.hpp"
 
 namespace fedclust::algorithms {
 
@@ -33,33 +33,24 @@ struct CflConfig {
   std::size_t min_cluster_size = 2;
 };
 
-/// CFL's evolving server state: the cluster tree flattened to labels +
-/// one model per cluster. Separated out so the classic run() loop and
-/// the engine-driven wave driver (fl::run_synchronized) execute the
-/// exact same round body over the exact same state.
-struct CflState {
-  std::vector<std::size_t> labels;
-  std::vector<std::vector<float>> cluster_weights;
-};
-
-class Cfl : public fl::Algorithm {
+/// Starts with one cluster holding every client; each round runs
+/// per-cluster training + aggregation, then (after warmup) Sattler's
+/// eps1/eps2 split check, possibly growing the cluster set. Sync-only:
+/// the split check is part of every round, so membership is never
+/// static.
+class Cfl : public ClusteredAlgorithm {
  public:
   explicit Cfl(CflConfig config) : config_(config) {}
 
   std::string name() const override { return "CFL"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  std::string async_refusal() const override {
+    return "CFL re-clusters every round, so membership is never static";
+  }
 
   const CflConfig& config() const { return config_; }
-
-  /// Initial state: one cluster holding every client.
-  CflState init(const fl::Federation& federation) const;
-
-  /// One synchronous CFL round over `state`: per-cluster training +
-  /// aggregation, then (after warmup) Sattler's eps1/eps2 split check,
-  /// possibly growing the cluster set. The caller has opened the comm
-  /// round. Returns the round's mean train loss.
-  double round(fl::Federation& federation, std::size_t round_index,
-               CflState& state) const;
 
  private:
   CflConfig config_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "check/audit.hpp"
+#include "robust/checkpoint.hpp"
+
 namespace fedclust::algorithms {
 
 double per_cluster_fedavg_round(
@@ -54,14 +57,52 @@ double per_cluster_fedavg_round(
                          : loss_sum / static_cast<double>(updates.size());
 }
 
-fl::AccuracySummary evaluate_clustered(
-    const fl::Federation& federation, const std::vector<std::size_t>& labels,
-    const std::vector<std::vector<float>>& cluster_weights) {
-  FEDCLUST_REQUIRE(labels.size() == federation.num_clients(),
+fl::AccuracySummary ClusteredAlgorithm::evaluate(
+    const fl::Federation& federation) const {
+  FEDCLUST_REQUIRE(labels_.size() == federation.num_clients(),
                    "labels must cover every client");
   return federation.evaluate_personalized([&](std::size_t cid) {
-    return std::span<const float>(cluster_weights[labels[cid]]);
+    return std::span<const float>(cluster_weights_[labels_[cid]]);
   });
+}
+
+std::uint64_t ClusteredAlgorithm::fingerprint() const {
+  return check::weights_fingerprint(cluster_weights_);
+}
+
+void ClusteredAlgorithm::finish(fl::RunResult& result) {
+  result.cluster_labels = labels_;
+}
+
+std::span<const float> ClusteredAlgorithm::cluster_model(
+    std::size_t cluster) const {
+  return std::span<const float>(cluster_weights_.at(cluster));
+}
+
+void ClusteredAlgorithm::set_cluster_model(std::size_t cluster,
+                                           std::vector<float> weights) {
+  cluster_weights_.at(cluster) = std::move(weights);
+}
+
+void ClusteredAlgorithm::save_state(robust::RunCheckpoint& checkpoint) const {
+  checkpoint.labels.assign(labels_.begin(), labels_.end());
+  checkpoint.cluster_weights = cluster_weights_;
+}
+
+void ClusteredAlgorithm::restore_state(
+    fl::Federation& federation, const robust::RunCheckpoint& checkpoint) {
+  FEDCLUST_REQUIRE(checkpoint.labels.size() == federation.num_clients(),
+                   "checkpoint covers " << checkpoint.labels.size()
+                                        << " clients, federation has "
+                                        << federation.num_clients());
+  labels_.assign(checkpoint.labels.begin(), checkpoint.labels.end());
+  cluster_weights_ = checkpoint.cluster_weights;
+}
+
+void ClusteredAlgorithm::reset(const fl::Federation& federation,
+                               std::size_t clusters) {
+  labels_.assign(federation.num_clients(), 0);
+  cluster_weights_.assign(clusters, federation.template_model().flat_weights());
 }
 
 }  // namespace fedclust::algorithms

@@ -6,6 +6,7 @@
 // averaged back. Global methods are the one-cluster special case.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "fl/algorithm.hpp"
@@ -29,10 +30,35 @@ double per_cluster_fedavg_round(
     std::vector<std::vector<float>>& cluster_weights,
     const fl::LocalTrainConfig* config_override = nullptr);
 
-/// Per-client accuracy where each client is evaluated on its cluster's
-/// model.
-fl::AccuracySummary evaluate_clustered(
-    const fl::Federation& federation, const std::vector<std::size_t>& labels,
-    const std::vector<std::vector<float>>& cluster_weights);
+/// Server state most algorithms share — one label per client and one
+/// model per cluster — with the fl::Algorithm hooks that only read or
+/// write it: evaluation on each client's cluster model, the fingerprint
+/// over the cluster models, the async cluster-model surface, and
+/// checkpointing of labels + models.
+class ClusteredAlgorithm : public fl::Algorithm {
+ public:
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  std::size_t num_clusters() const override { return cluster_weights_.size(); }
+  void finish(fl::RunResult& result) override;
+
+  std::size_t cluster_of(std::size_t client) const override {
+    return labels_.at(client);
+  }
+  std::span<const float> cluster_model(std::size_t cluster) const override;
+  void set_cluster_model(std::size_t cluster,
+                         std::vector<float> weights) override;
+
+  void save_state(robust::RunCheckpoint& checkpoint) const override;
+  void restore_state(fl::Federation& federation,
+                     const robust::RunCheckpoint& checkpoint) override;
+
+ protected:
+  /// Every client in cluster 0; `clusters` copies of the template model.
+  void reset(const fl::Federation& federation, std::size_t clusters);
+
+  std::vector<std::size_t> labels_;
+  std::vector<std::vector<float>> cluster_weights_;
+};
 
 }  // namespace fedclust::algorithms

@@ -10,6 +10,7 @@
 #pragma once
 
 #include "fl/algorithm.hpp"
+#include "nn/slicing.hpp"
 
 namespace fedclust::algorithms {
 
@@ -24,12 +25,29 @@ class FedPer : public fl::Algorithm {
   explicit FedPer(FedPerConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "FedPer"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  /// Each client is served the shared base with its own head spliced in.
+  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
+  std::uint64_t fingerprint() const override;
+  std::size_t num_clusters() const override { return 1; }
+  void finish(fl::RunResult& result) override;
 
   const FedPerConfig& config() const { return config_; }
 
  private:
+  /// The global base with `client`'s personal head spliced in.
+  std::vector<float> served_model(std::size_t client) const;
+  std::vector<std::vector<float>> served_models() const;
+
   FedPerConfig config_;
+  std::vector<nn::ParamSlice> head_;
+  std::size_t base_floats_ = 0;
+  /// Global weights; the head region always holds the template's head.
+  std::vector<float> global_;
+  std::vector<float> template_head_;
+  std::vector<std::vector<float>> heads_;  ///< per client
 };
 
 }  // namespace fedclust::algorithms

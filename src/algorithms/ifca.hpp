@@ -10,7 +10,7 @@
 // priori, and broadcasting k models multiplies the download cost.
 #pragma once
 
-#include "fl/algorithm.hpp"
+#include "algorithms/common.hpp"
 
 namespace fedclust::algorithms {
 
@@ -21,34 +21,25 @@ struct IfcaConfig {
   double init_perturbation = 0.05;
 };
 
-/// IFCA's evolving server state: the k cluster models plus the latest
-/// per-client identity estimates. Separated out so the classic run()
-/// loop and the engine-driven wave driver (fl::run_synchronized) execute
-/// the exact same round body over the exact same state.
-struct IfcaState {
-  std::vector<std::vector<float>> models;
-  std::vector<std::size_t> labels;
-};
-
-class Ifca : public fl::Algorithm {
+/// k cluster models (perturbed copies of the template); each round runs
+/// identity estimation over the k delivered models, training on the
+/// chosen model, and per-cluster aggregation. Sync-only: identities are
+/// re-estimated every round.
+class Ifca : public ClusteredAlgorithm {
  public:
   explicit Ifca(IfcaConfig config) : config_(config) {}
 
   std::string name() const override { return "IFCA"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  /// 1 + the highest label in use (the k models stay allocated).
+  std::size_t num_clusters() const override;
+  std::string async_refusal() const override {
+    return "IFCA re-estimates cluster identities every round";
+  }
 
   const IfcaConfig& config() const { return config_; }
-
-  /// Initial state: k perturbed copies of the template, everyone in
-  /// cluster 0.
-  IfcaState init(const fl::Federation& federation) const;
-
-  /// One synchronous IFCA round over `state`: identity estimation over
-  /// the k delivered models, training on the chosen model, per-cluster
-  /// aggregation. The caller has opened the comm round. Returns the
-  /// round's mean train loss.
-  double round(fl::Federation& federation, std::size_t round_index,
-               IfcaState& state) const;
 
  private:
   IfcaConfig config_;

@@ -1,55 +1,35 @@
 #include "algorithms/local_only.hpp"
 
-#include "check/audit.hpp"
-
 namespace fedclust::algorithms {
 
-fl::RunResult LocalOnly::run(fl::Federation& federation, std::size_t rounds) {
-  federation.reset_comm();
-
-  // Nothing ever crosses the wire; the zero/zero payload spec keeps the
-  // network simulator out of the round entirely.
-  const fl::NetPayloads no_traffic{0, 0, net::MessageKind::kModelUpdate};
-
-  fl::RunResult result;
-  result.algorithm = name();
+std::size_t LocalOnly::begin(fl::Federation& federation, fl::RunResult&) {
   const std::size_t n = federation.num_clients();
-  // Every client is its own "cluster"; weights persist across rounds.
-  result.cluster_labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) result.cluster_labels[i] = i;
+  reset(federation, n);
+  for (std::size_t i = 0; i < n; ++i) labels_[i] = i;
+  return 0;
+}
 
-  std::vector<std::vector<float>> weights(
-      n, federation.template_model().flat_weights());
-
-  for (std::size_t round = 0; round < rounds; ++round) {
-    federation.comm().begin_round(round);  // stays at zero bytes
-    std::vector<std::size_t> everyone(n);
-    for (std::size_t i = 0; i < n; ++i) everyone[i] = i;
-    const std::vector<fl::ClientUpdate> updates = federation.train_clients(
-        everyone, round,
-        [&](std::size_t cid) {
-          return std::span<const float>(weights[cid]);
-        },
-        nullptr, /*allow_failures=*/true, &no_traffic);
-    double loss_sum = 0.0;
-    for (const fl::ClientUpdate& u : updates) {
-      weights[u.client_id] = u.weights;
-      loss_sum += u.train_loss;
-    }
-
-    const bool last = round + 1 == rounds;
-    if (last || (round + 1) % federation.config().eval_every == 0) {
-      const fl::AccuracySummary acc =
-          federation.evaluate_personalized([&](std::size_t cid) {
-            return std::span<const float>(weights[cid]);
-          });
-      result.rounds.push_back(fl::make_round_metrics(
-          round, acc, loss_sum / static_cast<double>(updates.size()),
-          federation, n, check::weights_fingerprint(weights)));
-      if (last) result.final_accuracy = acc;
-    }
+double LocalOnly::sync_round(fl::Federation& federation, std::size_t round) {
+  // Nothing ever crosses the wire; the zero/zero payload spec keeps the
+  // network simulator out of the round entirely (comm stays at zero).
+  const fl::NetPayloads no_traffic{0, 0, net::MessageKind::kModelUpdate};
+  std::vector<std::size_t> everyone(federation.num_clients());
+  for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
+  std::vector<fl::ClientUpdate> updates = federation.train_clients(
+      everyone, round,
+      [&](std::size_t cid) {
+        return std::span<const float>(cluster_weights_[cid]);
+      },
+      nullptr, /*allow_failures=*/true, &no_traffic);
+  double loss_sum = 0.0;
+  for (fl::ClientUpdate& u : updates) {
+    loss_sum += u.train_loss;
+    cluster_weights_[u.client_id] = std::move(u.weights);
   }
-  return result;
+  // A round in which every client crashed reports 0, as every other
+  // algorithm does.
+  return updates.empty() ? 0.0
+                         : loss_sum / static_cast<double>(updates.size());
 }
 
 }  // namespace fedclust::algorithms

@@ -8,16 +8,20 @@
 // Not part of the paper's Table I; included as an analysis baseline.
 #pragma once
 
-#include "fl/algorithm.hpp"
+#include "algorithms/common.hpp"
 
 namespace fedclust::algorithms {
 
-class LocalOnly : public fl::Algorithm {
+/// Every client is its own "cluster" (label i, model i); models persist
+/// across rounds.
+class LocalOnly : public ClusteredAlgorithm {
  public:
   LocalOnly() = default;
 
   std::string name() const override { return "LocalOnly"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
 };
 
 }  // namespace fedclust::algorithms

@@ -15,8 +15,8 @@
 // rotation-invariant and needs no class alignment.
 #pragma once
 
+#include "algorithms/common.hpp"
 #include "cluster/hierarchical.hpp"
-#include "fl/algorithm.hpp"
 
 namespace fedclust::algorithms {
 
@@ -33,12 +33,20 @@ struct PacflConfig {
   double min_gap_ratio = 2.0;
 };
 
-class Pacfl : public fl::Algorithm {
+/// Round 0 clusters once from the data subspaces; rounds 1.. run static
+/// per-cluster FedAvg, so PACFL is async-capable.
+class Pacfl : public ClusteredAlgorithm {
  public:
   explicit Pacfl(PacflConfig config) : config_(config) {}
 
   std::string name() const override { return "PACFL"; }
-  fl::RunResult run(fl::Federation& federation, std::size_t rounds) override;
+  /// The round-0 phase: opens comm round 0, clusters from subspace
+  /// bases, meters and simulates the basis uploads, seeds one template
+  /// copy per cluster, and appends the round-0 metrics entry.
+  std::size_t begin(fl::Federation& federation,
+                    fl::RunResult& result) override;
+  double sync_round(fl::Federation& federation, std::size_t round) override;
+  std::string async_refusal() const override { return {}; }
 
   const PacflConfig& config() const { return config_; }
 
@@ -46,21 +54,11 @@ class Pacfl : public fl::Algorithm {
   /// returns per-client labels and, through `dissimilarity_out` if
   /// non-null, the angle matrix. `upload_bytes_out` receives the total
   /// wire cost of shipping every basis; `basis_floats_out` the per-client
-  /// basis sizes in float32 values (what run() meters and simulates).
+  /// basis sizes in float32 values (what begin() meters and simulates).
   std::vector<std::size_t> cluster_clients(
       const fl::Federation& federation, Matrix* dissimilarity_out = nullptr,
       std::uint64_t* upload_bytes_out = nullptr,
       std::vector<std::size_t>* basis_floats_out = nullptr) const;
-
-  /// The whole round-0 phase as run() executes it: opens comm round 0,
-  /// clusters from subspace bases, meters and simulates the basis
-  /// uploads, seeds one template copy per cluster into
-  /// `cluster_weights_out`, and appends the round-0 metrics entry.
-  /// Returns the labels. Shared by run() and the async adapter so
-  /// formation is one code path.
-  std::vector<std::size_t> formation(
-      fl::Federation& federation, fl::RunResult& result,
-      std::vector<std::vector<float>>& cluster_weights_out) const;
 
  private:
   PacflConfig config_;

@@ -6,12 +6,13 @@
 // streams, and the blocked-GEMM kernel pool splits output rows into
 // disjoint ranges, so results are bit-identical regardless of thread
 // count. This harness is the test of that claim. It runs the same
-// algorithm against freshly built federations that differ ONLY in
-// config.kernel_threads and compares, round by evaluated round, the
-// FNV-1a fingerprint of the aggregated weights (RoundMetrics::weights_fp)
-// plus the bit patterns of the accuracy/loss metrics — any reduction
-// reordering, data race, or uninitialized read shows up as a fingerprint
-// divergence in the first affected round.
+// algorithm through the one synchronous round driver (Algorithm::run,
+// i.e. fl::run_synchronized) against freshly built federations that
+// differ ONLY in config.kernel_threads and compares, round by evaluated
+// round, the FNV-1a fingerprint of the aggregated weights
+// (RoundMetrics::weights_fp) plus the bit patterns of the accuracy/loss
+// metrics — any reduction reordering, data race, or uninitialized read
+// shows up as a fingerprint divergence in the first affected round.
 //
 // Header-only on purpose: fedclust_check sits below fedclust_fl in the
 // link order (the engine calls the audit functions), so the harness —

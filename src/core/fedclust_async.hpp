@@ -1,53 +1,13 @@
-// FedClust bound to the fl/async engine.
-//
-// begin() runs the exact round-0 formation phase FedClust::run executes
-// (FedClust::formation_phase — one code path); afterwards cluster
-// membership is static, so the buffered async driver can stream
-// per-cluster flushes. Under fl::run_synchronized this adapter replays
-// the classic run() loop bit-identically (the SyncEquivalence gate pins
-// it); under fl::run_async it is the paper's method with FedBuff-style
-// buffered aggregation per cluster.
+// FedClust under the fl/async engine. FedClust is itself an
+// fl::Algorithm with static membership after formation, so fl::run_async
+// drives it directly; this name is kept for code that refers to the
+// buffered binding.
 #pragma once
 
 #include "core/fedclust.hpp"
-#include "fl/async.hpp"
 
 namespace fedclust::core {
 
-class FedClustAsync : public fl::AsyncAdapter {
- public:
-  explicit FedClustAsync(FedClustConfig config) : algo_(config) {}
-
-  std::string name() const override { return algo_.name(); }
-  std::size_t begin(fl::Federation& federation,
-                    fl::RunResult& result) override;
-  double sync_round(fl::Federation& federation, std::size_t round) override;
-  fl::AccuracySummary evaluate(const fl::Federation& federation) const override;
-  std::uint64_t fingerprint() const override;
-  std::size_t num_clusters() const override { return cluster_weights_.size(); }
-  void finish(fl::RunResult& result) override;
-
-  bool supports_async() const override { return true; }
-  std::size_t cluster_of(std::size_t client) const override {
-    return labels_.at(client);
-  }
-  std::span<const float> cluster_model(std::size_t cluster) const override;
-  void set_cluster_model(std::size_t cluster,
-                         std::vector<float> weights) override;
-
-  void save_state(robust::RunCheckpoint& checkpoint) const override;
-  void restore_state(fl::Federation& federation,
-                     const robust::RunCheckpoint& checkpoint) override;
-
-  /// The clustering outcome begin() produced (formation artifacts kept
-  /// for newcomer admission, as in FedClust::last_clustering).
-  const ClusteringOutcome& outcome() const { return outcome_; }
-
- private:
-  FedClust algo_;
-  ClusteringOutcome outcome_;
-  std::vector<std::size_t> labels_;
-  std::vector<std::vector<float>> cluster_weights_;
-};
+using FedClustAsync = FedClust;
 
 }  // namespace fedclust::core

@@ -26,11 +26,9 @@
 // all of them (the same argument the synchronous engine makes, applied
 // per flush instead of per round).
 //
-// The synchronous engine survives as the exact special case
-// buffer_k == cohort with unit staleness weights: run_synchronized
-// drives the same extracted per-round bodies the classic Algorithm::run
-// loops call, so the SyncEquivalence CI gate can pin the two
-// bit-identical (same shape as CodecParity).
+// The synchronous engine is the special case buffer_k == cohort with
+// unit staleness weights; fl::run_synchronized (fl/algorithm.hpp) is
+// that loop, and both drivers run the same fl::Algorithm objects.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "fl/metrics.hpp"
+#include "fl/algorithm.hpp"
 #include "robust/checkpoint.hpp"
 
 namespace fedclust::fl {
@@ -99,88 +97,22 @@ struct AsyncConfig {
   std::string checkpoint_path = "fedclust_async.ckpt";
 };
 
-/// Algorithm adapter for the event-driven engine. One adapter instance
-/// holds the algorithm's server-side state (labels, cluster models) and
-/// exposes the pieces the two drivers need: run_synchronized() replays
-/// the classic per-round body, run_async() reads/writes cluster models
-/// around buffer flushes. Adapters are single-run objects.
-class AsyncAdapter {
- public:
-  virtual ~AsyncAdapter() = default;
-
-  virtual std::string name() const = 0;
-
-  /// Runs the algorithm's formation phase exactly as its classic run()
-  /// does (metering, simulated rounds, the round-0 metrics entry when it
-  /// has one) and initializes the adapter's state. The caller has
-  /// already reset comm. Returns the first trainable round index (0 for
-  /// FedAvg/FedProx/CFL/IFCA, 1 for PACFL/FedClust).
-  virtual std::size_t begin(Federation& federation, RunResult& result) = 0;
-
-  /// One classic synchronous round (the extracted body the algorithm's
-  /// own run() loop calls). The caller has opened the comm round.
-  /// Returns the round's mean train loss.
-  virtual double sync_round(Federation& federation, std::size_t round) = 0;
-
-  virtual AccuracySummary evaluate(const Federation& federation) const = 0;
-  /// Fingerprint of the adapter's server-side model state
-  /// (check::weights_fingerprint over what the classic run() hashes).
-  virtual std::uint64_t fingerprint() const = 0;
-  virtual std::size_t num_clusters() const = 0;
-  /// Copies final labels / cluster models into the result.
-  virtual void finish(RunResult& result) = 0;
-
-  // -- async-mode surface (static cluster assignment) ---------------------
-  /// Whether the algorithm can run buffered: cluster membership must be
-  /// static after begin() (CFL re-clusters per round and IFCA re-estimates
-  /// identities per round — both are sync-only).
-  virtual bool supports_async() const { return false; }
-  virtual std::size_t cluster_of(std::size_t client) const {
-    (void)client;
-    return 0;
-  }
-  virtual std::span<const float> cluster_model(std::size_t cluster) const;
-  virtual void set_cluster_model(std::size_t cluster,
-                                 std::vector<float> weights);
-  /// Per-client local-training override the algorithm applies every
-  /// round (FedProx's proximal term); null = the federation's config.
-  virtual const LocalTrainConfig* local_override() const { return nullptr; }
-
-  // -- checkpoint surface (async runs) ------------------------------------
-  /// Fills the adapter-owned checkpoint fields (labels, cluster_weights,
-  /// formation artifacts).
-  virtual void save_state(robust::RunCheckpoint& checkpoint) const;
-  /// Restores them on resume (inverse of save_state + begin()'s state
-  /// setup, without re-running formation).
-  virtual void restore_state(Federation& federation,
-                             const robust::RunCheckpoint& checkpoint);
-};
-
-/// Wave driver: the classic synchronous loop, expressed over the adapter
-/// — reset comm, formation via begin(), then per round begin_round +
-/// sync_round + the eval cadence every classic run() uses. Bit-identical
-/// to the algorithm's own run() by construction (both call the same
-/// extracted bodies in the same order); the SyncEquivalence gate pins
-/// this.
-RunResult run_synchronized(Federation& federation, AsyncAdapter& adapter,
-                           std::size_t rounds);
-
 /// Event-driven driver: after the formation phase, every client cycles
 /// download → compute → upload → re-dispatch continuously (bounded by
 /// config.inflight); per-cluster buffers flush independently once they
 /// hold buffer_k arrived updates. Runs until `flushes` buffer flushes
-/// have been applied. Requires the network simulator and an adapter with
-/// supports_async(). Metrics: one RoundMetrics per evaluated flush, with
-/// round = first_round + flush index and sim_seconds = virtual time at
-/// the flush.
-RunResult run_async(Federation& federation, AsyncAdapter& adapter,
+/// have been applied. Requires the network simulator and an algorithm
+/// with an empty async_refusal(). Metrics: one RoundMetrics per
+/// evaluated flush, with round = first_round + flush index and
+/// sim_seconds = virtual time at the flush.
+RunResult run_async(Federation& federation, Algorithm& algorithm,
                     const AsyncConfig& config, std::size_t flushes);
 
 /// Continues a killed async run from a checkpoint written by run_async
 /// (FCKP v2 with the async block). The federation must be constructed
 /// with the same data, config, and seed; the resumed trajectory is
 /// bit-identical to the uninterrupted one.
-RunResult resume_async(Federation& federation, AsyncAdapter& adapter,
+RunResult resume_async(Federation& federation, Algorithm& algorithm,
                        const AsyncConfig& config,
                        const robust::RunCheckpoint& checkpoint,
                        std::size_t flushes);

@@ -193,6 +193,23 @@ TEST(LocalOnly, WeightsPersistAcrossRounds) {
   EXPECT_GE(acc3, acc1);
 }
 
+TEST(LocalOnly, AllCrashedRoundReportsZeroLoss) {
+  // Every client crashes every round: no update arrives, and the round's
+  // loss is 0 (the rule every algorithm follows), never 0/0 = NaN.
+  auto cfg = fast_config();
+  cfg.faults.enabled = true;
+  cfg.faults.crash_prob = 1.0;
+  auto [fed_local, g1] = make_grouped_federation(4, 320, 38, cfg);
+  auto [fed_avg, g2] = make_grouped_federation(4, 320, 38, cfg);
+  const fl::RunResult local = LocalOnly().run(fed_local, 2);
+  const fl::RunResult avg = FedAvg().run(fed_avg, 2);
+  ASSERT_EQ(local.rounds.size(), 2u);
+  for (std::size_t i = 0; i < local.rounds.size(); ++i) {
+    EXPECT_EQ(local.rounds[i].train_loss, 0.0) << i;
+    EXPECT_EQ(local.rounds[i].train_loss, avg.rounds[i].train_loss) << i;
+  }
+}
+
 TEST(FedAvgM, ZeroMomentumMatchesFedAvg) {
   auto cfg = fast_config();
   auto [fed1, g1] = make_grouped_federation(4, 320, 38, cfg);

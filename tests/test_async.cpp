@@ -1,7 +1,4 @@
 // Tests for the event-driven async engine (fl/async):
-//  * SyncEquivalence — the wave driver (buffer_k == cohort, staleness
-//    ≡ 1 special case) is bit-identical to every classic Algorithm::run
-//    loop, for all six algorithms. CI gates on `^SyncEquivalence`.
 //  * AsyncDeterminism — buffered trajectories are bit-identical across
 //    kernel-thread counts, worker-thread counts, and `concurrency`.
 //  * AsyncStaleness — the staleness decay and the flush's mixing
@@ -10,6 +7,8 @@
 //    dispatch frontier.
 //  * AsyncResume — FCKP v2 resume is bit-identical to the
 //    uninterrupted run.
+//  * AsyncEngine — preconditions: the network simulator, and refusal of
+//    sync-only algorithms and settings at construction.
 //  * CodecRobustGuard — under top-k upload frames the trimmed mean
 //    stays sparse-aware (robust::sparse_trimmed_mean) while the
 //    coordinate median still falls back to norm-clip (negative
@@ -21,14 +20,14 @@
 #include <cmath>
 #include <cstdio>
 
-#include "algorithms/async_adapters.hpp"
 #include "algorithms/cfl.hpp"
 #include "algorithms/fedavg.hpp"
+#include "algorithms/fedper.hpp"
 #include "algorithms/ifca.hpp"
+#include "algorithms/local_only.hpp"
 #include "algorithms/pacfl.hpp"
 #include "check/audit.hpp"
 #include "core/fedclust.hpp"
-#include "core/fedclust_async.hpp"
 #include "test_helpers.hpp"
 
 namespace fedclust::fl {
@@ -58,74 +57,6 @@ FederationConfig cellular_config(double straggler_frac = 1.0) {
   cfg.network.profile = net::Profile::kCellular;
   cfg.network.straggler_frac = straggler_frac;
   return cfg;
-}
-
-// -- SyncEquivalence (CI gate) ------------------------------------------------
-// The classic run() loop and fl::run_synchronized drive the same
-// extracted round bodies; the per-round trajectory must match
-// bit-for-bit, network on or off.
-
-TEST(SyncEquivalence, FedAvg) {
-  FederationConfig cfg = cellular_config();
-  cfg.dropout = 0.1;
-  auto [fed_a, ga] = make_grouped_federation(6, 480, 42, cfg);
-  auto [fed_b, gb] = make_grouped_federation(6, 480, 42, cfg);
-  algorithms::FedAvg classic;
-  algorithms::GlobalAverageAdapter adapter;
-  expect_same_rounds(classic.run(fed_a, 4),
-                     run_synchronized(fed_b, adapter, 4));
-}
-
-TEST(SyncEquivalence, FedProx) {
-  auto [fed_a, ga] = make_grouped_federation();
-  auto [fed_b, gb] = make_grouped_federation();
-  algorithms::FedProx classic(0.05);
-  algorithms::GlobalAverageAdapter adapter(0.05);
-  expect_same_rounds(classic.run(fed_a, 3),
-                     run_synchronized(fed_b, adapter, 3));
-}
-
-TEST(SyncEquivalence, Cfl) {
-  algorithms::CflConfig cc;
-  cc.warmup_rounds = 1;
-  auto [fed_a, ga] = make_grouped_federation();
-  auto [fed_b, gb] = make_grouped_federation();
-  algorithms::Cfl classic(cc);
-  algorithms::CflAdapter adapter(cc);
-  expect_same_rounds(classic.run(fed_a, 4),
-                     run_synchronized(fed_b, adapter, 4));
-}
-
-TEST(SyncEquivalence, Ifca) {
-  algorithms::IfcaConfig ic;
-  ic.num_clusters = 2;
-  auto [fed_a, ga] = make_grouped_federation();
-  auto [fed_b, gb] = make_grouped_federation();
-  algorithms::Ifca classic(ic);
-  algorithms::IfcaAdapter adapter(ic);
-  expect_same_rounds(classic.run(fed_a, 3),
-                     run_synchronized(fed_b, adapter, 3));
-}
-
-TEST(SyncEquivalence, Pacfl) {
-  const FederationConfig cfg = cellular_config();
-  auto [fed_a, ga] = make_grouped_federation(6, 480, 42, cfg);
-  auto [fed_b, gb] = make_grouped_federation(6, 480, 42, cfg);
-  algorithms::Pacfl classic(algorithms::PacflConfig{});
-  algorithms::PacflAdapter adapter(algorithms::PacflConfig{});
-  expect_same_rounds(classic.run(fed_a, 3),
-                     run_synchronized(fed_b, adapter, 3));
-}
-
-TEST(SyncEquivalence, FedClust) {
-  FederationConfig cfg = cellular_config(/*straggler_frac=*/0.8);
-  cfg.dropout = 0.1;
-  auto [fed_a, ga] = make_grouped_federation(6, 480, 42, cfg);
-  auto [fed_b, gb] = make_grouped_federation(6, 480, 42, cfg);
-  core::FedClust classic(core::FedClustConfig{});
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  expect_same_rounds(classic.run(fed_a, 4),
-                     run_synchronized(fed_b, adapter, 4));
 }
 
 // -- staleness math -----------------------------------------------------------
@@ -199,8 +130,8 @@ TEST(AsyncStaleness, LrDecayOffIsBitIdentical) {
   const FederationConfig cfg = cellular_config();
   auto run_with = [&](const AsyncConfig& ac) {
     auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-    algorithms::GlobalAverageAdapter adapter;
-    return run_async(fed, adapter, ac, 5);
+    algorithms::FedAvg algo;
+    return run_async(fed, algo, ac, 5);
   };
   expect_same_rounds(run_with(plain), run_with(off));
 }
@@ -218,8 +149,8 @@ AsyncConfig small_async() {
 RunResult run_async_fedclust(FederationConfig cfg, const AsyncConfig& ac,
                              std::size_t flushes) {
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  return run_async(fed, adapter, ac, flushes);
+  core::FedClust algo(core::FedClustConfig{});
+  return run_async(fed, algo, ac, flushes);
 }
 
 TEST(AsyncDeterminism, BitIdenticalAcrossKernelThreads) {
@@ -280,16 +211,59 @@ TEST(AsyncDeterminism, VirtualTimeIsMonotone) {
 
 TEST(AsyncEngine, RequiresNetworkSimulator) {
   auto [fed, groups] = make_grouped_federation();  // network disabled
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  EXPECT_THROW(run_async(fed, adapter, small_async(), 4), Error);
+  core::FedClust algo(core::FedClustConfig{});
+  EXPECT_THROW(run_async(fed, algo, small_async(), 4), Error);
 }
 
-TEST(AsyncEngine, SyncOnlyAdaptersRefuse) {
+TEST(AsyncEngine, SyncOnlyAlgorithmsRefuse) {
+  // Refused at construction, before formation runs: per-round
+  // re-clustering (CFL), per-round identity estimation (IFCA), the
+  // baselines with no buffered form, and FedClust's sync-only settings
+  // (the drift detector needs the round clock; checkpoints go through
+  // AsyncConfig).
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cellular_config());
-  algorithms::CflAdapter cfl(algorithms::CflConfig{});
-  EXPECT_THROW(run_async(fed, cfl, small_async(), 4), Error);
-  algorithms::IfcaAdapter ifca(algorithms::IfcaConfig{});
-  EXPECT_THROW(run_async(fed, ifca, small_async(), 4), Error);
+  const auto refuses = [&](Algorithm& algo, const std::string& reason) {
+    EXPECT_NE(algo.async_refusal().find(reason), std::string::npos)
+        << algo.name();
+    try {
+      run_async(fed, algo, small_async(), 4);
+      ADD_FAILURE() << algo.name() << " ran buffered";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fed.comm().round_count(), 0u) << "formation ran";
+  };
+  algorithms::Cfl cfl(algorithms::CflConfig{});
+  refuses(cfl, "re-clusters every round");
+  algorithms::Ifca ifca(algorithms::IfcaConfig{});
+  refuses(ifca, "re-estimates cluster identities");
+  algorithms::FedAvgM fedavgm;
+  refuses(fedavgm, "no buffered");
+  algorithms::FedPer fedper;
+  refuses(fedper, "no buffered");
+  algorithms::LocalOnly local_only;
+  refuses(local_only, "no buffered");
+  core::FedClustConfig dynamic;
+  dynamic.dynamic.enabled = true;
+  core::FedClust fedclust_dynamic(dynamic);
+  refuses(fedclust_dynamic, "dynamic.enabled");
+  core::FedClust fedclust_ckpt({.checkpoint_every = 1});
+  refuses(fedclust_ckpt, "checkpoint_every");
+}
+
+TEST(AsyncEngine, FedProxTrainsWithItsProximalTerm) {
+  // FedProx differs from FedAvg only by the proximal term its
+  // local_override() carries, which exists once begin() has run; the
+  // buffered trajectories must therefore differ.
+  const auto run_with = [](Algorithm& algo) {
+    auto [fed, groups] = make_grouped_federation(6, 480, 42, cellular_config());
+    return run_async(fed, algo, small_async(), 4);
+  };
+  algorithms::FedAvg fedavg;
+  algorithms::FedProx fedprox(0.5);
+  EXPECT_NE(run_with(fedavg).rounds.back().weights_fp,
+            run_with(fedprox).rounds.back().weights_fp);
 }
 
 // -- chaos --------------------------------------------------------------------
@@ -303,11 +277,11 @@ TEST(AsyncChaos, CrashesNeverWedgeTheFrontier) {
   cfg.faults.sign_flip_prob = 0.1;
   cfg.robust.validate.enabled = true;
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-  algorithms::GlobalAverageAdapter adapter;
+  algorithms::FedAvg algo;
   AsyncConfig ac = small_async();
   ac.buffer_k = 3;
   ac.max_staleness = 4;
-  const RunResult r = run_async(fed, adapter, ac, 5);
+  const RunResult r = run_async(fed, algo, ac, 5);
   // Every requested flush completed despite crashed dispatches; the
   // frontier kept advancing (virtual time strictly positive, metrics
   // recorded for the last flush).
@@ -329,8 +303,8 @@ TEST(AsyncChaos, ChaosTrajectoriesAreStillDeterministic) {
     FederationConfig c = cfg;
     c.threads = threads;
     auto [fed, groups] = make_grouped_federation(6, 480, 42, c);
-    algorithms::GlobalAverageAdapter adapter;
-    return run_async(fed, adapter, ac, 5);
+    algorithms::FedAvg algo;
+    return run_async(fed, algo, ac, 5);
   };
   expect_same_rounds(run_once(1), run_once(4));
 }
@@ -353,8 +327,8 @@ TEST(AsyncResume, BitIdenticalAfterReload) {
   EXPECT_TRUE(ck.async.present);
   EXPECT_EQ(ck.async.flushes, 4u);
   auto [fed, groups] = make_grouped_federation(6, 480, 42, cfg);
-  core::FedClustAsync adapter(core::FedClustConfig{});
-  const RunResult resumed = resume_async(fed, adapter, ac, ck, 6);
+  core::FedClust algo(core::FedClustConfig{});
+  const RunResult resumed = resume_async(fed, algo, ac, ck, 6);
   expect_same_rounds(ref, resumed);
   std::remove(path.c_str());
 }

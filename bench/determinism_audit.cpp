@@ -14,10 +14,30 @@
 #include <cstdio>
 #include <thread>
 
+#include "algorithms/fedavg.hpp"
+#include "algorithms/fedper.hpp"
+#include "algorithms/local_only.hpp"
 #include "bench_common.hpp"
 #include "check/determinism.hpp"
 #include "utils/cli.hpp"
 #include "utils/table.hpp"
+
+namespace {
+
+/// The Table-I zoo plus the baselines it leaves out. Kept local:
+/// table1_accuracy pairs bench::make_algorithms with the paper's rows by
+/// position.
+std::vector<std::unique_ptr<fedclust::fl::Algorithm>> audit_zoo() {
+  using namespace fedclust;
+  std::vector<std::unique_ptr<fl::Algorithm>> algos =
+      bench::make_algorithms(2);
+  algos.push_back(std::make_unique<algorithms::FedAvgM>());
+  algos.push_back(std::make_unique<algorithms::FedPer>());
+  algos.push_back(std::make_unique<algorithms::LocalOnly>());
+  return algos;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fedclust;
@@ -68,11 +88,9 @@ int main(int argc, char** argv) {
 
   TextTable table({"Algorithm", "Rounds", "Identical", "First mismatch"});
   bool all_identical = true;
-  const std::size_t zoo_size = bench::make_algorithms(2).size();
+  const std::size_t zoo_size = audit_zoo().size();
   for (std::size_t i = 0; i < zoo_size; ++i) {
-    const auto make_alg = [i] {
-      return std::move(bench::make_algorithms(2)[i]);
-    };
+    const auto make_alg = [i] { return std::move(audit_zoo()[i]); };
     const check::DeterminismReport report =
         check::determinism_audit(make_alg, make_fed, rounds, counts);
     all_identical = all_identical && report.identical;

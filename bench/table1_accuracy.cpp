@@ -11,6 +11,8 @@
 //                     [--pool 1200] [--beta 0.1] [--quick] [--csv out.csv]
 #include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "utils/cli.hpp"
@@ -120,16 +122,21 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < method_order.size(); ++m) {
     const std::string& method = method_order[m];
     const PaperRow& paper = kPaperTable[m];
-    const auto c = bench::mean_std(results[method]["cifar10"]);
-    const auto f = bench::mean_std(results[method]["fmnist"]);
-    const auto v = bench::mean_std(results[method]["svhn"]);
+    // A dataset left out by --datasets has no runs: print a dash, not a
+    // 0.00 ± 0.00 that reads like a measured accuracy.
+    const auto ours = [&](const char* dataset) -> std::string {
+      const std::vector<double>& accs = results[method][dataset];
+      if (accs.empty()) return "—";
+      const auto s = bench::mean_std(accs);
+      return format_mean_std(s.mean, s.std);
+    };
     table.new_row()
         .add(method)
-        .add(format_mean_std(c.mean, c.std))
+        .add(ours("cifar10"))
         .add(paper.cifar10)
-        .add(format_mean_std(f.mean, f.std))
+        .add(ours("fmnist"))
         .add(paper.fmnist)
-        .add(format_mean_std(v.mean, v.std))
+        .add(ours("svhn"))
         .add(paper.svhn);
   }
 

@@ -124,14 +124,11 @@ std::size_t Pacfl::begin(fl::Federation& federation, fl::RunResult& result) {
     std::vector<net::ClientOp> ops;
     ops.reserve(basis_floats.size());
     for (std::size_t c = 0; c < basis_floats.size(); ++c) {
-      ops.push_back(net::ClientOp{
-          .client = c,
-          .download_floats = 0,
-          .upload_floats = basis_floats[c],
-          .num_samples = federation.client_train_size(c),
-          .epochs = 1,
-          .churned = false,
-          .upload_kind = net::MessageKind::kBasisUpload});
+      ops.push_back(federation.client_op(
+          c,
+          fl::NetPayloads{.upload_floats = basis_floats[c],
+                          .upload_kind = net::MessageKind::kBasisUpload},
+          /*epochs=*/1, /*churned=*/false));
     }
     federation.simulate_network_round(0, ops, /*reliable=*/true);
   }

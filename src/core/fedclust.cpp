@@ -256,6 +256,9 @@ std::size_t FedClust::begin(fl::Federation& federation,
       last_clustering_.emplace(form_clusters(federation, /*round=*/0));
   const std::size_t partial_floats = slices_numel(resolve_partial_slices(
       federation.template_model(), config_.partial_spec));
+  const fl::NetPayloads newcomer_payloads{federation.model_size(),
+                                          partial_floats,
+                                          net::MessageKind::kPartialUpdate};
   for (std::size_t c = 0; c < federation.num_clients(); ++c) {
     federation.meter_download(c, federation.model_size());
   }
@@ -311,16 +314,8 @@ std::size_t FedClust::begin(fl::Federation& federation,
   for (const std::size_t cid : outcome.deferred) {
     fl::LocalTrainConfig warmup = federation.config().local;
     if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
-    const std::vector<net::ClientOp> ops{
-        {.client = cid,
-         .download_floats = federation.model_size(),
-         .upload_floats = partial_floats,
-         .num_samples = federation.client_train_size(cid),
-         .epochs = warmup.epochs,
-         .churned = false,
-         .upload_kind = net::MessageKind::kPartialUpdate,
-         .download_bytes =
-             federation.codec_download_op_bytes(federation.model_size())}};
+    const std::vector<net::ClientOp> ops{federation.client_op(
+        cid, newcomer_payloads, warmup.epochs, /*churned=*/false)};
     federation.simulate_network_round(0, ops, /*reliable=*/true);
     federation.meter_download(cid, federation.model_size());
     federation.meter_upload(cid, partial_floats);
@@ -420,6 +415,9 @@ void FedClust::admit_churn(fl::Federation& federation, std::size_t round) {
   if (arrivals.empty()) return;
   const std::size_t partial_floats = slices_numel(resolve_partial_slices(
       federation.template_model(), config_.partial_spec));
+  const fl::NetPayloads newcomer_payloads{federation.model_size(),
+                                          partial_floats,
+                                          net::MessageKind::kPartialUpdate};
   fl::LocalTrainConfig warmup = federation.config().local;
   if (config_.warmup_epochs > 0) warmup.epochs = config_.warmup_epochs;
   for (const std::size_t slot : arrivals) {
@@ -427,16 +425,8 @@ void FedClust::admit_churn(fl::Federation& federation, std::size_t round) {
     // path of begin(): solo warmup from the initial model (a reliable
     // exchange — the newcomer has no deadline to miss), then
     // nearest-cluster routing over the stored anchors.
-    const std::vector<net::ClientOp> ops{
-        {.client = slot,
-         .download_floats = federation.model_size(),
-         .upload_floats = partial_floats,
-         .num_samples = federation.client_train_size(slot),
-         .epochs = warmup.epochs,
-         .churned = false,
-         .upload_kind = net::MessageKind::kPartialUpdate,
-         .download_bytes =
-             federation.codec_download_op_bytes(federation.model_size())}};
+    const std::vector<net::ClientOp> ops{federation.client_op(
+        slot, newcomer_payloads, warmup.epochs, /*churned=*/false)};
     federation.simulate_network_round(round, ops, /*reliable=*/true);
     federation.meter_download(slot, federation.model_size());
     federation.meter_upload(slot, partial_floats);

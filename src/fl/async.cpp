@@ -252,16 +252,11 @@ class BufferedScheduler {
         fed_.fault_plan().decide(d.seq, client, 0) ==
             robust::FaultKind::kCrash;
     const bool churned = crashed || fed_.client_fails(client, d.seq);
-    const net::ClientOp op{
-        .client = client,
-        .download_floats = fed_.model_size(),
-        .upload_floats = fed_.model_size(),
-        .num_samples = fed_.client_train_size(client),
-        .epochs = epochs_,
-        .churned = churned,
-        .upload_kind = net::MessageKind::kModelUpdate,
-        .download_bytes = fed_.codec_download_op_bytes(fed_.model_size()),
-        .upload_bytes = fed_.codec_upload_op_bytes(fed_.model_size())};
+    const net::ClientOp op = fed_.client_op(
+        client,
+        NetPayloads{fed_.model_size(), fed_.model_size(),
+                    net::MessageKind::kModelUpdate},
+        epochs_, churned);
     d.outcome =
         fed_.network()->simulate_client_op(d.seq, op, fed_.network()->now());
     // Both legs metered now (see class invariant above). A delivered

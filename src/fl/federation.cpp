@@ -43,6 +43,43 @@ void chunked_reduce(std::size_t dim, ThreadPool* pool,
   for (auto& f : futures) f.get();
 }
 
+/// weighted_average with caller-supplied normalized coefficients (one per
+/// update). weighted_average computes aggregation_coefficients and
+/// forwards here, so passing those coefficients explicitly is
+/// bit-identical — the seam the async engine's staleness-weighted flush
+/// mixes through (via Federation::aggregate_weighted).
+std::vector<float> weighted_average_with(
+    const std::vector<ClientUpdate>& updates,
+    const std::vector<double>& coefficients, ThreadPool* pool) {
+  FEDCLUST_REQUIRE(!updates.empty(),
+                   "weighted_average over zero updates — no client update "
+                   "survived the round; callers must skip aggregation for "
+                   "empty rounds");
+  FEDCLUST_REQUIRE(coefficients.size() == updates.size(),
+                   "one mixing coefficient per update");
+  const std::size_t dim = updates.front().weights.size();
+  const std::size_t n = updates.size();
+  for (const ClientUpdate& u : updates) {
+    FEDCLUST_REQUIRE(u.weights.size() == dim,
+                     "update size mismatch in weighted_average");
+  }
+  const std::vector<double>& coeff = coefficients;
+
+  // Fused single pass through the dispatched weighted_accumulate kernel:
+  // each output element is reduced across updates in double and written
+  // once — no dim-sized double temporary, one sweep over every update's
+  // memory.
+  std::vector<float> out(dim);
+  std::vector<const float*> srcs(n);
+  for (std::size_t u = 0; u < n; ++u) srcs[u] = updates[u].weights.data();
+  const ops::KernelTable* kp = &ops::kernels();
+  chunked_reduce(dim, pool, [&](std::size_t begin, std::size_t end) {
+    kp->weighted_accumulate(srcs.data(), coeff.data(), n, out.data(), begin,
+                            end);
+  });
+  return out;
+}
+
 /// decode(encode(·)) view of every distinct broadcast span the round's
 /// survivors start from — the weights the clients actually receive under
 /// the download codec (encoded with an empty reference: a broadcast
@@ -176,34 +213,36 @@ std::uint64_t Federation::encoded_payload_bytes(
   return codec.encoded_bytes(num_floats, repeated);
 }
 
-std::uint64_t Federation::download_wire_bytes(std::size_t num_floats) const {
-  if (down_codec_ != nullptr && codec_applies(num_floats)) {
-    const std::uint64_t enc = encoded_payload_bytes(*down_codec_, num_floats);
-    return net_ ? net::wire_bytes_encoded(enc) : enc;
-  }
-  return wire_bytes(num_floats);
+std::uint64_t Federation::transfer_bytes(const compress::UpdateCodec* codec,
+                                        std::size_t num_floats) const {
+  if (!codec_applies(codec, num_floats)) return wire_bytes(num_floats);
+  const std::uint64_t enc = encoded_payload_bytes(*codec, num_floats);
+  return net_ ? net::wire_bytes_encoded(enc) : enc;
 }
 
-std::uint64_t Federation::upload_wire_bytes(std::size_t num_floats) const {
-  if (up_codec_ != nullptr && codec_applies(num_floats)) {
-    const std::uint64_t enc = encoded_payload_bytes(*up_codec_, num_floats);
-    return net_ ? net::wire_bytes_encoded(enc) : enc;
-  }
-  return wire_bytes(num_floats);
-}
-
-std::uint64_t Federation::codec_download_op_bytes(std::size_t num_floats) const {
-  return down_codec_ != nullptr && codec_applies(num_floats)
-             ? net::wire_bytes_encoded(
-                   encoded_payload_bytes(*down_codec_, num_floats))
-             : 0;
-}
-
-std::uint64_t Federation::codec_upload_op_bytes(std::size_t num_floats) const {
-  return up_codec_ != nullptr && codec_applies(num_floats)
-             ? net::wire_bytes_encoded(
-                   encoded_payload_bytes(*up_codec_, num_floats))
-             : 0;
+net::ClientOp Federation::client_op(std::size_t client,
+                                    const NetPayloads& payloads,
+                                    std::size_t epochs, bool churned) const {
+  // A zero override keeps the simulator on raw framing; a codec-framed
+  // leg carries the encoded frame under the v3 header.
+  const auto override_bytes = [&](const compress::UpdateCodec* codec,
+                                  std::size_t num_floats) -> std::uint64_t {
+    return codec_applies(codec, num_floats)
+               ? net::wire_bytes_encoded(
+                     encoded_payload_bytes(*codec, num_floats))
+               : 0;
+  };
+  return net::ClientOp{
+      .client = client,
+      .download_floats = payloads.download_floats,
+      .upload_floats = payloads.upload_floats,
+      .num_samples = client_train_size(client),
+      .epochs = epochs,
+      .churned = churned,
+      .upload_kind = payloads.upload_kind,
+      .download_bytes =
+          override_bytes(down_codec_.get(), payloads.download_floats),
+      .upload_bytes = override_bytes(up_codec_.get(), payloads.upload_floats)};
 }
 
 std::vector<float> Federation::download_roundtrip(
@@ -314,10 +353,24 @@ bool Federation::client_fails(std::size_t client, std::size_t round) const {
   return rng.bernoulli(config_.dropout);
 }
 
-std::vector<std::size_t> Federation::round_survivors(
+Federation::RoundPlan Federation::plan_round(
     const std::vector<std::size_t>& clients, std::size_t round,
-    const LocalTrainConfig& local, bool allow_failures,
+    const std::function<std::span<const float>(std::size_t)>&
+        start_weights_for,
+    const LocalTrainConfig* config_override, bool allow_failures,
     const NetPayloads* net_payloads, std::size_t fault_attempt) {
+  RoundPlan plan;
+  plan.local = config_override != nullptr ? *config_override : config_.local;
+  if (config_.audit) plan.local.audit = true;
+  plan.payloads = net_payloads != nullptr
+                      ? *net_payloads
+                      : NetPayloads{model_size_, model_size_,
+                                    net::MessageKind::kModelUpdate};
+
+  // Every training round advances the drift clock (monotone no-op once
+  // FedClust already advanced it for newcomer admission).
+  drift_advance(round);
+
   // The server never solicits quarantined clients, even on explicit
   // lists (formation re-solicitation goes through here too). Departed
   // drift slots are filtered the same way — a defensive second gate
@@ -343,7 +396,7 @@ std::vector<std::size_t> Federation::round_survivors(
   };
 
   // Decide churn up front so dropped clients cost no training time.
-  std::vector<std::size_t> survivors;
+  std::vector<std::size_t>& survivors = plan.survivors;
   survivors.reserve(solicited.size());
   for (const std::size_t cid : solicited) {
     if (fate(cid) == robust::FaultKind::kCrash) continue;
@@ -358,42 +411,39 @@ std::vector<std::size_t> Federation::round_survivors(
   // or lost clients can simply be skipped. The simulation itself runs
   // single-threaded on the caller and every draw is keyed by
   // (seed, round, client, attempt) — thread count cannot perturb it.
-  if (net_ != nullptr) {
-    NetPayloads payloads{model_size_, model_size_,
-                         net::MessageKind::kModelUpdate};
-    if (net_payloads != nullptr) payloads = *net_payloads;
-    if (payloads.download_floats > 0 || payloads.upload_floats > 0) {
-      std::vector<net::ClientOp> ops;
-      ops.reserve(solicited.size());
-      for (const std::size_t cid : solicited) {
-        FEDCLUST_REQUIRE(cid < source_->num_clients(),
-                         "client id out of range");
-        const bool churned =
-            (allow_failures && client_fails(cid, round)) ||
-            fate(cid) == robust::FaultKind::kCrash;
-        ops.push_back(net::ClientOp{
-            .client = cid,
-            .download_floats = payloads.download_floats,
-            .upload_floats = payloads.upload_floats,
-            .num_samples = source_->train_size(cid),
-            .epochs = local.epochs,
-            .churned = churned,
-            .upload_kind = payloads.upload_kind,
-            .download_bytes = codec_download_op_bytes(payloads.download_floats),
-            .upload_bytes = codec_upload_op_bytes(payloads.upload_floats)});
-      }
-      const net::RoundReport report =
-          net_->run_round(round, ops, /*reliable=*/!allow_failures);
-      std::vector<std::size_t> accepted;
-      accepted.reserve(report.accepted);
-      for (std::size_t i = 0; i < report.arrivals.size(); ++i) {
-        const net::Arrival& a = report.arrivals[i];
-        if (a.delivered && !a.late) accepted.push_back(solicited[i]);
-      }
-      survivors = std::move(accepted);
+  if (net_ != nullptr &&
+      (plan.payloads.download_floats > 0 ||
+       plan.payloads.upload_floats > 0)) {
+    std::vector<net::ClientOp> ops;
+    ops.reserve(solicited.size());
+    for (const std::size_t cid : solicited) {
+      const bool churned = (allow_failures && client_fails(cid, round)) ||
+                           fate(cid) == robust::FaultKind::kCrash;
+      ops.push_back(client_op(cid, plan.payloads, plan.local.epochs, churned));
+    }
+    const net::RoundReport report =
+        net_->run_round(round, ops, /*reliable=*/!allow_failures);
+    survivors.clear();
+    for (std::size_t i = 0; i < report.arrivals.size(); ++i) {
+      const net::Arrival& a = report.arrivals[i];
+      if (a.delivered && !a.late) survivors.push_back(solicited[i]);
     }
   }
-  return survivors;
+
+  // Codec transport applies only to whole-model transfers this round
+  // actually makes: the download leg when the broadcast is one or more
+  // full models (every client then trains from decode(encode(server
+  // weights))), the upload leg when the update payload is the full model
+  // (sub-model side channels like FedClust's formation slice ship raw).
+  const compress::UpdateCodec* down =
+      codec_applies(down_codec_.get(), plan.payloads.download_floats)
+          ? down_codec_.get()
+          : nullptr;
+  plan.transport_uploads =
+      up_codec_ != nullptr && plan.payloads.upload_floats == model_size_;
+  plan.start = downloaded_starts(down, layout_, model_size_, plan.survivors,
+                                 start_weights_for);
+  return plan;
 }
 
 ClientUpdate Federation::train_one(
@@ -425,6 +475,89 @@ ClientUpdate Federation::train_one(
   return ClientUpdate{cid, std::move(weights), data->train.size(), loss};
 }
 
+std::vector<ClientUpdate> Federation::train_slots(const RoundPlan& plan,
+                                                  std::size_t begin,
+                                                  std::size_t end,
+                                                  std::size_t round,
+                                                  std::size_t fault_attempt) {
+  // With screening on, the upload leg runs inside screen() instead: the
+  // encoded frames go through the codec envelope + decode-then-screen.
+  const bool upload_now =
+      plan.transport_uploads && !config_.robust.validate.enabled;
+  std::vector<ClientUpdate> updates(end - begin);
+  pool_.parallel_for(0, updates.size(), [&](std::size_t j) {
+    ClientUpdate u = train_one(plan.survivors[begin + j], round, plan.start,
+                               plan.local, fault_attempt);
+    if (upload_now) upload_leg(u, plan.start(u.client_id));
+    updates[j] = std::move(u);
+  });
+  return updates;
+}
+
+void Federation::upload_leg(ClientUpdate& update,
+                            std::span<const float> start) const {
+  std::vector<float> rt(update.weights.size());
+  compress::roundtrip(*up_codec_, update.weights, start, layout_, rt);
+  update.weights = std::move(rt);
+}
+
+std::vector<std::uint8_t> Federation::screen(
+    std::vector<ClientUpdate>& updates,
+    const std::vector<std::span<const float>>& starts, bool encoded) {
+  std::vector<std::size_t> ids;
+  ids.reserve(updates.size());
+  for (const ClientUpdate& u : updates) ids.push_back(u.client_id);
+  std::vector<robust::Verdict> verdicts;
+  std::vector<std::vector<float>> decoded;
+  if (encoded) {
+    // Decode-then-screen: each client's frame is validated against the
+    // codec envelope first (failures strike as kCodecEnvelope), then the
+    // decoded floats run the unchanged shape/finite/norm pipeline.
+    std::vector<std::vector<std::uint8_t>> frames(updates.size());
+    pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
+      frames[i] = up_codec_->encode(updates[i].weights, starts[i], layout_);
+    });
+    std::vector<std::span<const std::uint8_t>> frame_spans(frames.begin(),
+                                                           frames.end());
+    verdicts = robust::screen_encoded_updates(
+        frame_spans, starts, ids, model_size_, *up_codec_, layout_,
+        config_.robust.validate, &decoded);
+  } else {
+    std::vector<std::span<const float>> payload_spans;
+    payload_spans.reserve(updates.size());
+    for (const ClientUpdate& u : updates) payload_spans.emplace_back(u.weights);
+    verdicts = robust::screen_updates(payload_spans, starts, ids, model_size_,
+                                      config_.robust.validate);
+  }
+  std::vector<std::uint8_t> accepted(updates.size(), 1);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (!verdicts[i].accepted()) {
+      accepted[i] = 0;
+      quarantine_.strike(verdicts[i].client);
+    } else if (encoded) {
+      // The aggregator keeps what survived the wire, not the raw client
+      // weights.
+      updates[i].weights = std::move(decoded[i]);
+    }
+  }
+  return accepted;
+}
+
+void Federation::audit_updates(std::span<const ClientUpdate> updates,
+                               std::span<const std::uint8_t> accepted,
+                               const std::string& where) const {
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (!accepted.empty() && accepted[i] == 0) continue;
+    const ClientUpdate& u = updates[i];
+    const std::string context = where + " client " +
+                                std::to_string(u.client_id) +
+                                " update weights";
+    check::assert_all_finite(u.weights, context.c_str());
+    FEDCLUST_CHECK(std::isfinite(u.train_loss),
+                   context << ": non-finite train loss " << u.train_loss);
+  }
+}
+
 ClientUpdate Federation::train_dispatch(
     std::size_t client, std::size_t dispatch, std::span<const float> start,
     const LocalTrainConfig* config_override) const {
@@ -443,66 +576,18 @@ Federation::ScreenedBatch Federation::transport_and_screen(
                    "one broadcast reference per update");
   ScreenedBatch out;
   out.accepted.assign(updates.size(), 1);
-
-  if (up_codec_ != nullptr && !config_.robust.validate.enabled) {
-    // Same transport as the synchronous path: the aggregator only ever
-    // sees decode(encode(update)) against the broadcast it came from.
+  if (config_.robust.validate.enabled) {
+    if (!updates.empty()) {
+      out.accepted = screen(updates, starts, up_codec_ != nullptr);
+    }
+  } else if (up_codec_ != nullptr) {
     pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
       FEDCLUST_REQUIRE(updates[i].weights.size() == model_size_,
                        "async transport expects whole-model updates");
-      std::vector<float> rt(updates[i].weights.size());
-      compress::roundtrip(*up_codec_, updates[i].weights, starts[i], layout_,
-                          rt);
-      updates[i].weights = std::move(rt);
+      upload_leg(updates[i], starts[i]);
     });
-  } else if (config_.robust.validate.enabled && !updates.empty()) {
-    std::vector<std::size_t> ids;
-    ids.reserve(updates.size());
-    for (const ClientUpdate& u : updates) ids.push_back(u.client_id);
-    std::vector<robust::Verdict> verdicts;
-    if (up_codec_ != nullptr) {
-      std::vector<std::vector<std::uint8_t>> frames(updates.size());
-      pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
-        frames[i] = up_codec_->encode(updates[i].weights, starts[i], layout_);
-      });
-      std::vector<std::span<const std::uint8_t>> frame_spans;
-      frame_spans.reserve(frames.size());
-      for (const auto& f : frames) frame_spans.emplace_back(f);
-      std::vector<std::vector<float>> decoded;
-      verdicts = robust::screen_encoded_updates(
-          frame_spans, starts, ids, model_size_, *up_codec_, layout_,
-          config_.robust.validate, &decoded);
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (verdicts[i].accepted()) updates[i].weights = std::move(decoded[i]);
-      }
-    } else {
-      std::vector<std::span<const float>> payload_spans;
-      payload_spans.reserve(updates.size());
-      for (const ClientUpdate& u : updates) {
-        payload_spans.emplace_back(u.weights);
-      }
-      verdicts = robust::screen_updates(payload_spans, starts, ids,
-                                        model_size_, config_.robust.validate);
-    }
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (!verdicts[i].accepted()) {
-        out.accepted[i] = 0;
-        quarantine_.strike(verdicts[i].client);
-      }
-    }
   }
-
-  if (config_.audit) {
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (out.accepted[i] == 0) continue;
-      const std::string context = "dispatch update of client " +
-                                  std::to_string(updates[i].client_id);
-      check::assert_all_finite(updates[i].weights, context.c_str());
-      FEDCLUST_CHECK(std::isfinite(updates[i].train_loss),
-                     context << ": non-finite train loss "
-                             << updates[i].train_loss);
-    }
-  }
+  if (config_.audit) audit_updates(updates, out.accepted, "async dispatch");
   out.updates = std::move(updates);
   return out;
 }
@@ -513,123 +598,41 @@ std::vector<ClientUpdate> Federation::train_clients(
         start_weights_for,
     const LocalTrainConfig* config_override, bool allow_failures,
     const NetPayloads* net_payloads, std::size_t fault_attempt) {
-  LocalTrainConfig local =
-      config_override != nullptr ? *config_override : config_.local;
-  if (config_.audit) local.audit = true;
-
-  // Every training round advances the drift clock (monotone no-op once
-  // a driver already advanced it for newcomer admission).
-  drift_advance(round);
-
-  const std::vector<std::size_t> survivors = round_survivors(
-      clients, round, local, allow_failures, net_payloads, fault_attempt);
-
-  // Codec transport applies only to whole-model transfers this round
-  // actually makes: the download leg when the broadcast is one or more
-  // full models (every client then trains from decode(encode(server
-  // weights))), the upload leg when the update payload is the full model
-  // (sub-model side channels like FedClust's formation slice ship raw).
-  NetPayloads payloads{model_size_, model_size_,
-                       net::MessageKind::kModelUpdate};
-  if (net_payloads != nullptr) payloads = *net_payloads;
-  const compress::UpdateCodec* down =
-      down_codec_ != nullptr && codec_applies(payloads.download_floats)
-          ? down_codec_.get()
-          : nullptr;
-  const bool transport_uploads =
-      up_codec_ != nullptr && payloads.upload_floats == model_size_;
-  const std::function<std::span<const float>(std::size_t)> effective_start =
-      downloaded_starts(down, layout_, model_size_, survivors,
-                        start_weights_for);
-
-  std::vector<ClientUpdate> updates(survivors.size());
-  pool_.parallel_for(0, survivors.size(), [&](std::size_t slot) {
-    ClientUpdate u = train_one(survivors[slot], round, effective_start, local,
-                               fault_attempt);
-    // Without server-side screening the upload transport is simulated
-    // right here: the aggregator only ever sees decode(encode(update)).
-    // (With screening on, the encoded frames go through the codec
-    // envelope + decode-then-screen pipeline below instead.)
-    if (transport_uploads && !config_.robust.validate.enabled) {
-      std::vector<float> rt(u.weights.size());
-      compress::roundtrip(*up_codec_, u.weights,
-                          effective_start(u.client_id), layout_, rt);
-      u.weights = std::move(rt);
-    }
-    updates[slot] = std::move(u);
-  });
+  const RoundPlan plan =
+      plan_round(clients, round, start_weights_for, config_override,
+                 allow_failures, net_payloads, fault_attempt);
+  std::vector<ClientUpdate> updates =
+      train_slots(plan, 0, plan.survivors.size(), round, fault_attempt);
 
   // Server-side screening: every arrived update is validated against the
   // weights the server actually served this client. Rejections are
   // metered (the bytes did cross the wire), charged as strikes, and
   // dropped from the result.
   if (config_.robust.validate.enabled && !updates.empty()) {
-    std::vector<std::span<const float>> start_spans;
-    std::vector<std::size_t> ids;
-    start_spans.reserve(updates.size());
-    ids.reserve(updates.size());
+    std::vector<std::span<const float>> starts;
+    starts.reserve(updates.size());
     for (const ClientUpdate& u : updates) {
-      start_spans.push_back(effective_start(u.client_id));
-      ids.push_back(u.client_id);
+      starts.push_back(plan.start(u.client_id));
     }
-    std::vector<robust::Verdict> verdicts;
-    std::vector<std::vector<float>> decoded;
-    if (transport_uploads) {
-      // Decode-then-screen: each client's frame is validated against the
-      // codec envelope first (failures strike as kCodecEnvelope), then
-      // the decoded floats run the unchanged shape/finite/norm pipeline.
-      std::vector<std::vector<std::uint8_t>> frames(updates.size());
-      pool_.parallel_for(0, updates.size(), [&](std::size_t i) {
-        frames[i] = up_codec_->encode(updates[i].weights, start_spans[i],
-                                      layout_);
-      });
-      std::vector<std::span<const std::uint8_t>> frame_spans;
-      frame_spans.reserve(frames.size());
-      for (const auto& f : frames) frame_spans.emplace_back(f);
-      verdicts = robust::screen_encoded_updates(
-          frame_spans, start_spans, ids, model_size_, *up_codec_, layout_,
-          config_.robust.validate, &decoded);
-    } else {
-      std::vector<std::span<const float>> payload_spans;
-      payload_spans.reserve(updates.size());
-      for (const ClientUpdate& u : updates) payload_spans.emplace_back(u.weights);
-      verdicts = robust::screen_updates(payload_spans, start_spans, ids,
-                                        model_size_, config_.robust.validate);
-    }
+    const std::vector<std::uint8_t> accepted =
+        screen(updates, starts, plan.transport_uploads);
     std::vector<ClientUpdate> kept;
     kept.reserve(updates.size());
     for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (verdicts[i].accepted()) {
-        if (transport_uploads) {
-          // The aggregator keeps what survived the wire, not the raw
-          // client weights.
-          updates[i].weights = std::move(decoded[i]);
-        }
+      if (accepted[i] != 0) {
         kept.push_back(std::move(updates[i]));
-      } else {
-        // The rejected bytes did cross the wire; meter them here since
-        // the caller never sees the update (skipped when the caller
-        // opened no metering round, e.g. direct train_clients tests).
-        if (payloads.upload_floats > 0 && comm_.round_count() > 0) {
-          meter_upload(verdicts[i].client, payloads.upload_floats);
-        }
-        quarantine_.strike(verdicts[i].client);
+      } else if (plan.payloads.upload_floats > 0 && comm_.round_count() > 0) {
+        // The caller never sees a rejected update, so its bytes are
+        // metered here (skipped when the caller opened no metering
+        // round, e.g. direct train_clients tests).
+        meter_upload(updates[i].client_id, plan.payloads.upload_floats);
       }
     }
     updates = std::move(kept);
   }
 
   if (config_.audit) {
-    // Sweep after the pool joins so a violation throws on the caller's
-    // thread with a precise attribution.
-    for (const ClientUpdate& u : updates) {
-      const std::string context = "round " + std::to_string(round) +
-                                  " client " + std::to_string(u.client_id) +
-                                  " update weights";
-      check::assert_all_finite(u.weights, context.c_str());
-      FEDCLUST_CHECK(std::isfinite(u.train_loss),
-                     context << ": non-finite train loss " << u.train_loss);
-    }
+    audit_updates(updates, {}, "round " + std::to_string(round));
   }
   return updates;
 }
@@ -662,34 +665,13 @@ Federation::FoldResult Federation::train_clients_folded(
     return out;
   }
 
-  LocalTrainConfig local =
-      config_override != nullptr ? *config_override : config_.local;
-  if (config_.audit) local.audit = true;
-
-  drift_advance(round);
-
-  const std::vector<std::size_t> survivors =
-      round_survivors(clients, round, local, /*allow_failures=*/true,
-                      net_payloads, /*fault_attempt=*/0);
+  const RoundPlan plan =
+      plan_round(clients, round, start_weights_for, config_override,
+                 /*allow_failures=*/true, net_payloads, /*fault_attempt=*/0);
+  const std::vector<std::size_t>& survivors = plan.survivors;
   out.contributors = survivors;
   if (survivors.empty()) return out;
   const std::size_t cohort = survivors.size();
-
-  // Same codec transport gates as train_clients; the upload round trip
-  // happens inside the batch lambda so the fold only ever accumulates
-  // what survived the wire.
-  NetPayloads payloads{model_size_, model_size_,
-                       net::MessageKind::kModelUpdate};
-  if (net_payloads != nullptr) payloads = *net_payloads;
-  const compress::UpdateCodec* down =
-      down_codec_ != nullptr && codec_applies(payloads.download_floats)
-          ? down_codec_.get()
-          : nullptr;
-  const bool transport_uploads =
-      up_codec_ != nullptr && payloads.upload_floats == model_size_;
-  const std::function<std::span<const float>(std::size_t)> effective_start =
-      downloaded_starts(down, layout_, model_size_, survivors,
-                        start_weights_for);
 
   // FedAvg coefficients over the WHOLE cohort, from the cheap train_size
   // metadata — value-identical to aggregation_coefficients over the flat
@@ -713,7 +695,9 @@ Federation::FoldResult Federation::train_clients_folded(
   // executes the exact operation sequence of the one-shot
   // weighted_accumulate kernel (batch boundaries only park the
   // accumulator in memory), which is why ANY edge count reproduces flat
-  // aggregation bit-for-bit.
+  // aggregation bit-for-bit. Each batch is trained and sent up the
+  // upload leg by train_slots, so the fold only ever accumulates what
+  // survived the wire.
   std::vector<double> acc(model_size_, 0.0);
   const std::size_t batch_cap = std::max<std::size_t>(2 * pool_.size(), 8);
   const std::size_t edges = topology.clamped_edges(cohort);
@@ -723,29 +707,13 @@ Federation::FoldResult Federation::train_clients_folded(
     const auto [edge_begin, edge_end] = topology.slot_range(e, cohort);
     for (std::size_t bb = edge_begin; bb < edge_end; bb += batch_cap) {
       const std::size_t be = std::min(edge_end, bb + batch_cap);
-      std::vector<ClientUpdate> batch(be - bb);
-      pool_.parallel_for(0, be - bb, [&](std::size_t j) {
-        batch[j] = train_one(survivors[bb + j], round, effective_start, local,
-                             /*fault_attempt=*/0);
-        if (transport_uploads) {
-          std::vector<float> rt(batch[j].weights.size());
-          compress::roundtrip(*up_codec_, batch[j].weights,
-                              effective_start(batch[j].client_id), layout_,
-                              rt);
-          batch[j].weights = std::move(rt);
-        }
-      });
+      const std::vector<ClientUpdate> batch =
+          train_slots(plan, bb, be, round, /*fault_attempt=*/0);
+      if (config_.audit) {
+        audit_updates(batch, {}, "round " + std::to_string(round));
+      }
       std::vector<const float*> srcs(batch.size());
       for (std::size_t j = 0; j < batch.size(); ++j) {
-        if (config_.audit) {
-          const std::string context =
-              "round " + std::to_string(round) + " client " +
-              std::to_string(batch[j].client_id) + " update weights";
-          check::assert_all_finite(batch[j].weights, context.c_str());
-          FEDCLUST_CHECK(std::isfinite(batch[j].train_loss),
-                         context << ": non-finite train loss "
-                                 << batch[j].train_loss);
-        }
         loss_sum += batch[j].train_loss;
         srcs[j] = batch[j].weights.data();
       }
@@ -793,42 +761,30 @@ AccuracySummary Federation::evaluate_personalized(
     const std::function<std::span<const float>(std::size_t)>& weights_for)
     const {
   AccuracySummary out;
+  // Departed drift slots score NaN and are excluded from the mean/std,
+  // so a static baseline's degradation under drift is attributable to
+  // the drift itself, never to ghost evaluations of clients that left.
+  // Without a drift plan every slot is alive.
   const std::size_t n = source_->num_clients();
-  if (drift_plan_ != nullptr) {
-    // Departed slots score NaN and are excluded from the mean/std, so a
-    // static baseline's degradation under drift is attributable to the
-    // drift itself, never to ghost evaluations of clients that left.
-    out.per_client.assign(n, std::numeric_limits<double>::quiet_NaN());
-    std::vector<std::size_t> alive;
-    alive.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drift_plan_->active(drift_round_, i)) alive.push_back(i);
-    }
-    if (alive.empty()) return out;
-    pool_.parallel_for(0, alive.size(), [&](std::size_t a) {
-      out.per_client[alive[a]] =
-          evaluate_client(alive[a], weights_for(alive[a])).accuracy;
-    });
-    double sum = 0.0;
-    for (const std::size_t i : alive) sum += out.per_client[i];
-    out.mean = sum / static_cast<double>(alive.size());
-    double var = 0.0;
-    for (const std::size_t i : alive) {
-      var += (out.per_client[i] - out.mean) * (out.per_client[i] - out.mean);
-    }
-    out.std = std::sqrt(var / static_cast<double>(alive.size()));
-    return out;
+  out.per_client.assign(n, std::numeric_limits<double>::quiet_NaN());
+  std::vector<std::size_t> alive;
+  alive.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (client_active(drift_round_, i)) alive.push_back(i);
   }
-  out.per_client.assign(n, 0.0);
-  pool_.parallel_for(0, n, [&](std::size_t i) {
-    out.per_client[i] = evaluate_client(i, weights_for(i)).accuracy;
+  if (alive.empty()) return out;
+  pool_.parallel_for(0, alive.size(), [&](std::size_t a) {
+    out.per_client[alive[a]] =
+        evaluate_client(alive[a], weights_for(alive[a])).accuracy;
   });
   double sum = 0.0;
-  for (double a : out.per_client) sum += a;
-  out.mean = sum / static_cast<double>(out.per_client.size());
+  for (const std::size_t i : alive) sum += out.per_client[i];
+  out.mean = sum / static_cast<double>(alive.size());
   double var = 0.0;
-  for (double a : out.per_client) var += (a - out.mean) * (a - out.mean);
-  out.std = std::sqrt(var / static_cast<double>(out.per_client.size()));
+  for (const std::size_t i : alive) {
+    var += (out.per_client[i] - out.mean) * (out.per_client[i] - out.mean);
+  }
+  out.std = std::sqrt(var / static_cast<double>(alive.size()));
   return out;
 }
 
@@ -861,38 +817,6 @@ std::vector<float> weighted_average(const std::vector<ClientUpdate>& updates,
                    "empty rounds");
   return weighted_average_with(updates, aggregation_coefficients(updates),
                                pool);
-}
-
-std::vector<float> weighted_average_with(
-    const std::vector<ClientUpdate>& updates,
-    const std::vector<double>& coefficients, ThreadPool* pool) {
-  FEDCLUST_REQUIRE(!updates.empty(),
-                   "weighted_average over zero updates — no client update "
-                   "survived the round; callers must skip aggregation for "
-                   "empty rounds");
-  FEDCLUST_REQUIRE(coefficients.size() == updates.size(),
-                   "one mixing coefficient per update");
-  const std::size_t dim = updates.front().weights.size();
-  const std::size_t n = updates.size();
-  for (const ClientUpdate& u : updates) {
-    FEDCLUST_REQUIRE(u.weights.size() == dim,
-                     "update size mismatch in weighted_average");
-  }
-  const std::vector<double>& coeff = coefficients;
-
-  // Fused single pass through the dispatched weighted_accumulate kernel:
-  // each output element is reduced across updates in double and written
-  // once — no dim-sized double temporary, one sweep over every update's
-  // memory.
-  std::vector<float> out(dim);
-  std::vector<const float*> srcs(n);
-  for (std::size_t u = 0; u < n; ++u) srcs[u] = updates[u].weights.data();
-  const ops::KernelTable* kp = &ops::kernels();
-  chunked_reduce(dim, pool, [&](std::size_t begin, std::size_t end) {
-    kp->weighted_accumulate(srcs.data(), coeff.data(), n, out.data(), begin,
-                            end);
-  });
-  return out;
 }
 
 std::vector<double> aggregation_coefficients(

@@ -4,6 +4,17 @@
 // the model template every algorithm starts from, a thread pool that
 // trains sampled clients in parallel, and the communication meter.
 //
+// Client pipeline: every update a client sends takes one private path.
+// plan_round resolves the round's transfer plan once (local config,
+// payload sizes, codec gates, the clients whose uploads arrive, the
+// decoded broadcast each one trains from); train_slots trains them and
+// sends each update up the upload leg; screen() encodes, screens,
+// strikes and swaps in the decoded weights; audit_updates checks what
+// the aggregator keeps. train_clients, train_clients_folded and the
+// async transport_and_screen are thin callers of these stages, and
+// client_op is the one builder of simulated-network ops, so the
+// simulator and the CommMeter charge the same bytes for every transfer.
+//
 // Determinism: all randomness derives from config.seed through splittable
 // streams keyed by (client, round), so results are bit-identical
 // regardless of thread count or scheduling order.
@@ -12,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "compress/codec.hpp"
@@ -171,9 +183,13 @@ class Federation {
   /// codec-frame analogue of historical bare float bytes — identity
   /// encodes to exactly num_floats * 4, keeping disabled-mode accounting
   /// bit-identical).
-  std::uint64_t download_wire_bytes(std::size_t num_floats) const;
+  std::uint64_t download_wire_bytes(std::size_t num_floats) const {
+    return transfer_bytes(down_codec_.get(), num_floats);
+  }
   /// Same for one client -> server transfer under the upload codec.
-  std::uint64_t upload_wire_bytes(std::size_t num_floats) const;
+  std::uint64_t upload_wire_bytes(std::size_t num_floats) const {
+    return transfer_bytes(up_codec_.get(), num_floats);
+  }
 
   /// Meters one server -> client transfer of `num_floats` values,
   /// attributed to `client`.
@@ -185,13 +201,15 @@ class Federation {
     comm_.upload(upload_wire_bytes(num_floats), client);
   }
 
-  /// Framed v3 byte size for a simulated ClientOp override: non-zero —
-  /// net::wire_bytes_encoded(codec frame) — exactly when the codec
-  /// applies to a `num_floats` transfer; 0 keeps the op on raw framing.
-  /// Exposed so protocol drivers building their own ClientOps (FedClust's
-  /// deferred-newcomer rounds) charge the same bytes the meter records.
-  std::uint64_t codec_download_op_bytes(std::size_t num_floats) const;
-  std::uint64_t codec_upload_op_bytes(std::size_t num_floats) const;
+  /// The simulated-network op for one client exchanging `payloads` —
+  /// the engine's one ClientOp builder, so every round (train_clients,
+  /// the async dispatcher, FedClust's newcomers, PACFL's bases) charges
+  /// the simulator what the meter records: each leg's framed byte
+  /// override is set exactly when download_wire_bytes /
+  /// upload_wire_bytes would count a codec frame for it (one or more
+  /// whole models), and left 0 — raw framing — otherwise.
+  net::ClientOp client_op(std::size_t client, const NetPayloads& payloads,
+                          std::size_t epochs, bool churned) const;
 
   /// True when config().compression.enabled constructed codecs.
   bool compression_enabled() const { return up_codec_ != nullptr; }
@@ -199,8 +217,6 @@ class Federation {
   const compress::UpdateCodec* download_codec() const {
     return down_codec_.get();
   }
-  /// Per-tensor segment sizes of one model (nn::Model::slices order).
-  std::span<const std::size_t> codec_layout() const { return layout_; }
 
   /// The weights a client actually receives when the server sends
   /// `server_weights` (one whole model): decode(encode(w)) under the
@@ -264,8 +280,10 @@ class Federation {
   /// With config().faults enabled, the fault plan is consulted per
   /// solicited client: crashed clients are dropped like churn, stale
   /// replays train from the run's initial weights, and corrupted uploads
-  /// are mutated after training. With config().robust.validate enabled,
-  /// every arrived update is screened (shape / finite / norm envelope);
+  /// are mutated after training. Whole-model uploads under an upload
+  /// codec reach the result as decode(encode(update)). With
+  /// config().robust.validate enabled, every arrived update is screened
+  /// (codec envelope when encoded, then shape / finite / norm envelope);
   /// rejections are dropped from the result, metered as received
   /// traffic, and charged as quarantine strikes. `fault_attempt`
   /// distinguishes re-solicitations of the same round (formation
@@ -370,11 +388,11 @@ class Federation {
     std::vector<std::uint8_t> accepted;
   };
 
-  /// Applies the upload leg to a buffer of trained updates exactly as
-  /// train_clients does for a synchronous cohort: upload-codec transport
-  /// (the aggregator only ever sees decode(encode(update))), and — with
-  /// validation enabled — encode + codec-envelope + decode-then-screen
-  /// against each update's own broadcast reference `starts[i]`.
+  /// Applies the upload leg to a buffer of trained updates through the
+  /// same stages train_clients uses for a synchronous cohort: upload-codec
+  /// transport (the aggregator only ever sees decode(encode(update))),
+  /// and — with validation enabled — the same screening routine, against
+  /// each update's own broadcast reference `starts[i]`.
   /// Rejections are charged as quarantine strikes; the caller meters
   /// traffic (arrived bytes crossed the wire whether or not screening
   /// keeps them). Updates must be whole models.
@@ -443,13 +461,27 @@ class Federation {
   const ModelPool& model_pool() const { return model_pool_; }
 
  private:
-  /// Shared solicitation pipeline of train_clients and
-  /// train_clients_folded: quarantine filter → fault fate → churn →
-  /// simulated network fate. Returns the clients whose updates will
-  /// arrive, in ascending solicited order.
-  std::vector<std::size_t> round_survivors(
+  /// One round's transfer plan, shared by the flat and folded paths.
+  struct RoundPlan {
+    LocalTrainConfig local;  ///< config().audit folded in
+    NetPayloads payloads;    ///< a full model each way unless overridden
+    /// Uploads cross the upload codec (the payload is the whole model).
+    bool transport_uploads = false;
+    /// Clients whose updates will arrive, in ascending solicited order.
+    std::vector<std::size_t> survivors;
+    /// The weights each survivor trains from: decode(encode(broadcast))
+    /// when the download codec applies, the caller's weights otherwise.
+    std::function<std::span<const float>(std::size_t)> start;
+  };
+
+  /// Advances the drift clock, resolves the config and codec gates, and
+  /// decides who arrives: quarantine filter → fault fate → churn →
+  /// simulated network fate.
+  RoundPlan plan_round(
       const std::vector<std::size_t>& clients, std::size_t round,
-      const LocalTrainConfig& local, bool allow_failures,
+      const std::function<std::span<const float>(std::size_t)>&
+          start_weights_for,
+      const LocalTrainConfig* config_override, bool allow_failures,
       const NetPayloads* net_payloads, std::size_t fault_attempt);
 
   /// Trains one surviving client (pooled clone, payload faults applied) —
@@ -461,14 +493,44 @@ class Federation {
           start_weights_for,
       const LocalTrainConfig& local, std::size_t fault_attempt) const;
 
+  /// Trains plan.survivors[begin, end) in parallel, in slot order; each
+  /// update takes its upload leg in the same loop unless screen() will.
+  std::vector<ClientUpdate> train_slots(const RoundPlan& plan,
+                                        std::size_t begin, std::size_t end,
+                                        std::size_t round,
+                                        std::size_t fault_attempt);
+
+  /// The upload leg: the aggregator only ever sees decode(encode(update))
+  /// against the broadcast it came from.
+  void upload_leg(ClientUpdate& update, std::span<const float> start) const;
+
+  /// Screens updates against the weights each was served (`starts[i]`).
+  /// With `encoded`, each is encoded, screened as a codec frame and then
+  /// as decoded floats, and accepted ones carry the decoded weights.
+  /// Rejections are struck. Returns per-slot acceptance flags.
+  std::vector<std::uint8_t> screen(
+      std::vector<ClientUpdate>& updates,
+      const std::vector<std::span<const float>>& starts, bool encoded);
+
+  /// Audit sweep over the kept updates (`accepted` empty = all): finite
+  /// weights and loss, thrown on the caller's thread, prefixed `where`.
+  void audit_updates(std::span<const ClientUpdate> updates,
+                     std::span<const std::uint8_t> accepted,
+                     const std::string& where) const;
+
   /// Encoded payload bytes of `codec` for a num_floats transfer that
   /// codec_applies; repeats the model layout for multi-model payloads.
   std::uint64_t encoded_payload_bytes(const compress::UpdateCodec& codec,
                                       std::size_t num_floats) const;
   /// Whether a codec covers a transfer: one or more whole models.
-  bool codec_applies(std::size_t num_floats) const {
-    return num_floats > 0 && model_size_ > 0 && num_floats % model_size_ == 0;
+  bool codec_applies(const compress::UpdateCodec* codec,
+                     std::size_t num_floats) const {
+    return codec != nullptr && num_floats > 0 &&
+           num_floats % model_size_ == 0;
   }
+  /// download_wire_bytes / upload_wire_bytes under `codec`.
+  std::uint64_t transfer_bytes(const compress::UpdateCodec* codec,
+                               std::size_t num_floats) const;
 
   nn::Model template_;
   std::shared_ptr<ClientSource> source_;
@@ -504,15 +566,6 @@ class Federation {
 /// independent of the chunking).
 std::vector<float> weighted_average(const std::vector<ClientUpdate>& updates,
                                     ThreadPool* pool = nullptr);
-
-/// weighted_average with caller-supplied normalized coefficients (one per
-/// update). The default entry point computes aggregation_coefficients and
-/// forwards here, so passing those coefficients explicitly is
-/// bit-identical — the seam the async engine's staleness-weighted flush
-/// mixes through.
-std::vector<float> weighted_average_with(
-    const std::vector<ClientUpdate>& updates,
-    const std::vector<double>& coefficients, ThreadPool* pool = nullptr);
 
 /// The normalized per-update coefficients weighted_average applies
 /// (num_samples / total). Exposed so the aggregation audit can verify

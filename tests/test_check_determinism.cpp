@@ -9,7 +9,9 @@
 
 #include "algorithms/cfl.hpp"
 #include "algorithms/fedavg.hpp"
+#include "algorithms/fedper.hpp"
 #include "algorithms/ifca.hpp"
+#include "algorithms/local_only.hpp"
 #include "algorithms/pacfl.hpp"
 #include "check/determinism.hpp"
 #include "core/fedclust.hpp"
@@ -78,6 +80,19 @@ TEST(Determinism, FedAvg) {
 TEST(Determinism, FedProx) {
   expect_deterministic(
       [] { return std::make_unique<algorithms::FedProx>(0.1); });
+}
+
+TEST(Determinism, FedAvgM) {
+  expect_deterministic([] { return std::make_unique<algorithms::FedAvgM>(); });
+}
+
+TEST(Determinism, FedPer) {
+  expect_deterministic([] { return std::make_unique<algorithms::FedPer>(); });
+}
+
+TEST(Determinism, LocalOnly) {
+  expect_deterministic(
+      [] { return std::make_unique<algorithms::LocalOnly>(); });
 }
 
 TEST(Determinism, Cfl) {

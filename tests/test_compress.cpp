@@ -11,11 +11,20 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "algorithms/cfl.hpp"
 #include "algorithms/fedavg.hpp"
+#include "algorithms/fedper.hpp"
 #include "algorithms/ifca.hpp"
+#include "algorithms/local_only.hpp"
+#include "algorithms/pacfl.hpp"
+#include "core/fedclust.hpp"
 #include "fl/federation.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/kernels.hpp"
@@ -489,21 +498,104 @@ TEST(CodecTransport, Int8ShrinksUploadsAndTrains) {
   (void)r_raw;
 }
 
-TEST(CodecTransport, AuditedNetworkRunKeepsMeterLogParity) {
+fl::FederationConfig audited_int8_network() {
   fl::FederationConfig cfg = parity_config();
   cfg.audit = true;
   cfg.network.enabled = true;
   cfg.compression.enabled = true;
   cfg.compression.upload = CodecKind::kInt8;
   cfg.compression.download = CodecKind::kInt8;
+  return cfg;
+}
 
+struct ParityCase {
+  std::string name;
+  std::function<std::unique_ptr<fl::Algorithm>()> make;
+  bool validate = false;
+};
+
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << c.name; }
+
+class AuditedNetworkRun : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(AuditedNetworkRun, KeepsMeterLogParity) {
+  fl::FederationConfig cfg = audited_int8_network();
+  cfg.robust.validate.enabled = GetParam().validate;
   auto fed = make_grouped_federation(6, 480, 45, cfg);
-  algorithms::FedAvg avg;
+  const std::unique_ptr<fl::Algorithm> algo = GetParam().make();
   // make_round_metrics re-audits CommMeter vs the event log every round;
-  // a metering/framing mismatch on the codec path throws here.
-  const fl::RunResult r = avg.run(fed.federation, 3);
+  // a metering/framing mismatch on the codec path throws here. Every
+  // algorithm charges its own payload shape: IFCA's k-model download,
+  // PACFL's basis uploads, FedPer's base-only exchange, FedClust's
+  // partial formation upload.
+  const fl::RunResult r = algo->run(fed.federation, 3);
   EXPECT_EQ(r.rounds.size(), 3u);
-  EXPECT_GT(fed.federation.comm().total_upload(), 0u);
+  if (algo->name() != "LocalOnly") {
+    EXPECT_GT(fed.federation.comm().total_upload(), 0u);
+  }
+}
+
+std::vector<ParityCase> parity_cases() {
+  using namespace algorithms;
+  const std::vector<ParityCase> zoo = {
+      {"FedAvg", [] { return std::make_unique<FedAvg>(); }},
+      {"FedProx", [] { return std::make_unique<FedProx>(0.05); }},
+      {"FedAvgM", [] { return std::make_unique<FedAvgM>(); }},
+      {"CFL",
+       [] { return std::make_unique<Cfl>(CflConfig{.warmup_rounds = 1}); }},
+      {"IFCA",
+       [] { return std::make_unique<Ifca>(IfcaConfig{.num_clusters = 2}); }},
+      {"PACFL", [] { return std::make_unique<Pacfl>(PacflConfig{}); }},
+      {"FedPer", [] { return std::make_unique<FedPer>(); }},
+      {"LocalOnly", [] { return std::make_unique<LocalOnly>(); }},
+      {"FedClust",
+       [] {
+         return std::make_unique<core::FedClust>(core::FedClustConfig{});
+       }},
+  };
+  std::vector<ParityCase> cases;
+  for (const bool validate : {false, true}) {
+    for (ParityCase c : zoo) {
+      if (validate) c.name += "_validate";
+      c.validate = validate;
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CodecTransport, AuditedNetworkRun, ::testing::ValuesIn(parity_cases()),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      return info.param.name;
+    });
+
+TEST(CodecTransport, FedClustWholeModelNewcomerChargesCodecBytes) {
+  // partial_spec "all" makes the newcomer's partial upload a whole model,
+  // so the upload codec applies to it: the simulated network must charge
+  // the same encoded bytes the meter records, or the audited event-log
+  // parity check throws when slot 2 is re-admitted at round 2.
+  for (const CodecKind download : {CodecKind::kIdentity, CodecKind::kInt8}) {
+    fl::FederationConfig cfg = audited_int8_network();
+    cfg.compression.download = download;
+    cfg.drift.enabled = true;
+    robust::DriftEvent leave;
+    leave.round = 1;
+    leave.kind = robust::DriftKind::kDeparture;
+    leave.slots = {2};
+    robust::DriftEvent join = leave;
+    join.round = 2;
+    join.kind = robust::DriftKind::kArrival;
+    cfg.drift.events = {leave, join};
+
+    auto fed = make_grouped_federation(6, 480, 45, cfg);
+    core::FedClust fedclust(core::FedClustConfig{.partial_spec = "all"});
+    const fl::RunResult r = fedclust.run(fed.federation, 4);
+    EXPECT_EQ(r.rounds.size(), 4u) << to_string(download);
+    EXPECT_EQ(fed.federation.comm().total_upload(),
+              net::delivered_bytes(fed.federation.network()->log()).upload)
+        << to_string(download);
+  }
 }
 
 }  // namespace

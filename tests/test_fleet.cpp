@@ -136,28 +136,43 @@ TEST(VirtualFleet, EagerVsLazyFederationsBitIdenticalAllAlgorithms) {
 }
 
 TEST(EdgeAggregation, TreeVsFlatBitIdenticalAcrossEdgeCounts) {
-  fl::Federation fed = testing::make_dirichlet_federation(6);
-  const std::vector<float> global = fed.template_model().flat_weights();
-  const auto weights_for = [&](std::size_t) {
-    return std::span<const float>(global);
-  };
-  std::vector<std::size_t> cohort(fed.num_clients());
-  for (std::size_t i = 0; i < cohort.size(); ++i) cohort[i] = i;
+  // Compression off, then int8 uploads under an identity and an int8
+  // download codec: the fold must accumulate exactly what the flat path
+  // aggregates after the codec round trips.
+  std::vector<fl::FederationConfig> configs(3);
+  for (std::size_t k = 1; k < configs.size(); ++k) {
+    configs[k].compression.enabled = true;
+    configs[k].compression.upload = compress::CodecKind::kInt8;
+  }
+  configs[2].compression.download = compress::CodecKind::kInt8;
 
-  std::vector<fl::ClientUpdate> updates =
-      fed.train_clients(cohort, /*round=*/0, weights_for);
-  ASSERT_EQ(updates.size(), cohort.size());
-  const std::vector<float> flat = fed.aggregate(updates);
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    fl::Federation fed =
+        testing::make_dirichlet_federation(6, 0.3, 480, 7, configs[k]);
+    const std::vector<float> global = fed.template_model().flat_weights();
+    const auto weights_for = [&](std::size_t) {
+      return std::span<const float>(global);
+    };
+    std::vector<std::size_t> cohort(fed.num_clients());
+    for (std::size_t i = 0; i < cohort.size(); ++i) cohort[i] = i;
 
-  for (const std::size_t edges : {1u, 2u, 7u}) {
-    const fl::Federation::FoldResult fr = fed.train_clients_folded(
-        cohort, /*round=*/0, weights_for, net::EdgeTopology{edges});
-    EXPECT_FALSE(fr.gathered);
-    EXPECT_EQ(fr.contributors, cohort) << edges << " edges";
-    ASSERT_EQ(fr.weights.size(), flat.size());
-    EXPECT_EQ(check::weights_fingerprint(fr.weights),
-              check::weights_fingerprint(flat))
-        << edges << " edges diverge from flat aggregation";
+    std::vector<fl::ClientUpdate> updates =
+        fed.train_clients(cohort, /*round=*/0, weights_for);
+    ASSERT_EQ(updates.size(), cohort.size());
+    const std::vector<float> flat = fed.aggregate(updates);
+
+    for (const std::size_t edges : {1u, 2u, 7u}) {
+      const fl::Federation::FoldResult fr = fed.train_clients_folded(
+          cohort, /*round=*/0, weights_for, net::EdgeTopology{edges});
+      EXPECT_FALSE(fr.gathered);
+      EXPECT_EQ(fr.contributors, cohort) << "config " << k << ", " << edges
+                                         << " edges";
+      ASSERT_EQ(fr.weights.size(), flat.size());
+      EXPECT_EQ(check::weights_fingerprint(fr.weights),
+                check::weights_fingerprint(flat))
+          << "config " << k << ": " << edges
+          << " edges diverge from flat aggregation";
+    }
   }
 }
 
